@@ -53,8 +53,7 @@ type Cache struct {
 	// burst with one tag check and one LRU store per line instead of a set
 	// scan. Direct-mapped by a hash of the burst key; collisions simply
 	// re-record. Host-side only: every replayed line is validated by tag, so
-	// a moved or evicted line drops back to the per-line path. See
-	// blockcharge.go.
+	// a moved or evicted line drops back to the per-line path.
 	memo []burstMemo
 
 	// lineIdx is a direct-mapped line -> way-slot memo probed before every

@@ -423,3 +423,203 @@ func TestVMCSEPTPListLimit(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// readByte reads one byte at va on c in user mode.
+func readByte(t *testing.T, c *CPU, va VA) byte {
+	t.Helper()
+	c.Mode = ModeUser
+	var b [1]byte
+	if err := c.ReadData(va, b[:], 1); err != nil {
+		t.Fatalf("core %d read of %#x: %v", c.ID, uint64(va), err)
+	}
+	return b[0]
+}
+
+// TestCPUPTERemapSeenByColdCore: after a PTE is remapped to a new frame, a
+// core that never cached the old translation walks the edited table and
+// reads the new frame.
+func TestCPUPTERemapSeenByColdCore(t *testing.T) {
+	m, c0, pt := newNativeCPU(t)
+	c1 := m.Cores[1]
+	c1.CR3 = pt.Root
+	if err := pt.Map(0x40_0000, 0x8000, PTEUser|PTEWrite); err != nil {
+		t.Fatal(err)
+	}
+	m.Mem.Write(0x8000, []byte{0xAA})
+	m.Mem.Write(0x9000, []byte{0xBB})
+	if got := readByte(t, c0, 0x40_0000); got != 0xAA {
+		t.Fatalf("before remap: %#x", got)
+	}
+	if err := pt.Map(0x40_0000, 0x9000, PTEUser|PTEWrite); err != nil {
+		t.Fatal(err)
+	}
+	if got := readByte(t, c1, 0x40_0000); got != 0xBB {
+		t.Fatalf("cold core after remap: %#x, want 0xBB", got)
+	}
+	if c1.Counters.PageWalks != 1 {
+		t.Fatalf("cold core walked %d times, want 1", c1.Counters.PageWalks)
+	}
+}
+
+// TestCPUEPTDowngradeAfterEvictionExits: once an EPT permission downgrade
+// is in place and the old translation has been evicted from the TLB, the
+// next write walks the EPT and raises an EPT-violation exit.
+func TestCPUEPTDowngradeAfterEvictionExits(t *testing.T) {
+	m := NewMachine(MachineConfig{Cores: 1, MemBytes: 1 << 26, DTLBEntries: 4})
+	cpu := m.Cores[0]
+	pt := NewPageTable(m.Mem)
+	cpu.CR3 = pt.Root
+	ept, _ := installVirt(t, m, cpu)
+	if err := pt.Map(0x40_0000, 0x8000, PTEUser|PTEWrite); err != nil {
+		t.Fatal(err)
+	}
+	cpu.Mode = ModeUser
+	if err := cpu.WriteData(0x40_0000, []byte{1}, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ept.RemapGPA(0x8000, 0x8000, EPTRead); err != nil {
+		t.Fatal(err)
+	}
+	var got *VMExit
+	m.SetExitHandler(func(c *CPU, e *VMExit) error {
+		got = e
+		return e
+	})
+	// Evict the entry by touching more pages than the 4-entry DTLB holds.
+	for i := 0; i < 8; i++ {
+		va := VA(0x50_0000 + i*PageSize)
+		if err := pt.Map(va, GPA(0xA000+i*PageSize), PTEUser); err != nil {
+			t.Fatal(err)
+		}
+		if err := cpu.ReadData(va, nil, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cpu.WriteData(0x40_0000, []byte{2}, 1); err == nil {
+		t.Fatal("write after EPT downgrade succeeded")
+	}
+	if got == nil || got.Reason != ExitEPTViolation || got.Violation.GPA != 0x8000 {
+		t.Fatalf("exit %+v", got)
+	}
+}
+
+// TestCPUCR3ReloadWalksNewRoot: a CR3 reload to another page table on a
+// fresh PCID resolves the same VA through the new root, and reloading the
+// old root after its table was edited sees the edit.
+func TestCPUCR3ReloadWalksNewRoot(t *testing.T) {
+	m, cpu, pt1 := newNativeCPU(t)
+	pt2 := NewPageTable(m.Mem)
+	if err := pt1.Map(0x40_0000, 0x8000, PTEUser); err != nil {
+		t.Fatal(err)
+	}
+	if err := pt2.Map(0x40_0000, 0x9000, PTEUser); err != nil {
+		t.Fatal(err)
+	}
+	m.Mem.Write(0x8000, []byte{0xA1})
+	m.Mem.Write(0x9000, []byte{0xB2})
+	reload := func(root GPA, pcid uint16) {
+		cpu.Mode = ModeKernel
+		if err := cpu.WriteCR3(root, pcid); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := readByte(t, cpu, 0x40_0000); got != 0xA1 {
+		t.Fatalf("under pt1: %#x", got)
+	}
+	reload(pt2.Root, 2)
+	if got := readByte(t, cpu, 0x40_0000); got != 0xB2 {
+		t.Fatalf("after CR3 switch: %#x, want 0xB2", got)
+	}
+	if err := pt1.Map(0x40_0000, 0x9000, PTEUser); err != nil {
+		t.Fatal(err)
+	}
+	reload(pt1.Root, 3)
+	if got := readByte(t, cpu, 0x40_0000); got != 0xB2 {
+		t.Fatalf("back on edited pt1: %#x, want 0xB2", got)
+	}
+	if cpu.Counters.PageWalks != 3 {
+		t.Fatalf("page walks = %d, want 3 (one per fresh PCID)", cpu.Counters.PageWalks)
+	}
+}
+
+// TestCPURecycledPageTableFrameRewalked: a page-table root frame that is
+// freed and handed out again (zeroed) as the root of a new table is walked
+// afresh: a TLB-cold core resolves through the new table's mappings, and
+// the old core does too once it flushes its TLB.
+func TestCPURecycledPageTableFrameRewalked(t *testing.T) {
+	m, c0, pt1 := newNativeCPU(t)
+	c1 := m.Cores[1]
+	if err := pt1.Map(0x40_0000, 0x8000, PTEUser); err != nil {
+		t.Fatal(err)
+	}
+	m.Mem.Write(0x8000, []byte{0xA1})
+	m.Mem.Write(0x9000, []byte{0xB2})
+	if got := readByte(t, c0, 0x40_0000); got != 0xA1 {
+		t.Fatalf("under pt1: %#x", got)
+	}
+
+	m.Mem.FreeFrame(HPA(pt1.Root))
+	pt2 := NewPageTable(m.Mem)
+	if pt2.Root != pt1.Root {
+		t.Fatalf("root frame not recycled: %#x != %#x", uint64(pt2.Root), uint64(pt1.Root))
+	}
+	c1.CR3 = pt2.Root
+	c1.Mode = ModeUser
+	var pf *PageFault
+	if err := c1.ReadData(0x40_0000, nil, 1); !errors.As(err, &pf) {
+		t.Fatalf("read through the zeroed recycled root: got %v, want PageFault", err)
+	}
+	if err := pt2.Map(0x40_0000, 0x9000, PTEUser); err != nil {
+		t.Fatal(err)
+	}
+	if got := readByte(t, c1, 0x40_0000); got != 0xB2 {
+		t.Fatalf("cold core on recycled root: %#x, want 0xB2", got)
+	}
+	c0.DTLB.FlushAll()
+	walks := c0.Counters.PageWalks
+	if got := readByte(t, c0, 0x40_0000); got != 0xB2 {
+		t.Fatalf("flushed core on recycled root: %#x, want 0xB2", got)
+	}
+	if c0.Counters.PageWalks != walks+1 {
+		t.Fatal("flushed core did not re-walk")
+	}
+}
+
+// benchCPU builds a user-mode core with a 4-entry DTLB over 16 mapped
+// pages, so cycling over the pages misses the TLB on every access.
+func benchCPU(b *testing.B) *CPU {
+	b.Helper()
+	m := NewMachine(MachineConfig{Cores: 1, MemBytes: 1 << 26, DTLBEntries: 4})
+	cpu := m.Cores[0]
+	pt := NewPageTable(m.Mem)
+	cpu.CR3 = pt.Root
+	cpu.Mode = ModeUser
+	if err := pt.MapRange(0x40_0000, 0x8000, 16, PTEUser|PTEWrite); err != nil {
+		b.Fatal(err)
+	}
+	return cpu
+}
+
+// BenchmarkTranslateTLBHit measures a data access whose translation is
+// resident in the DTLB.
+func BenchmarkTranslateTLBHit(b *testing.B) {
+	cpu := benchCPU(b)
+	var buf [8]byte
+	for i := 0; i < b.N; i++ {
+		if err := cpu.ReadData(0x40_0000, buf[:], 8); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPageWalk measures a TLB-missing data access: every iteration
+// performs a full two-dimensional page walk.
+func BenchmarkPageWalk(b *testing.B) {
+	cpu := benchCPU(b)
+	var buf [8]byte
+	for i := 0; i < b.N; i++ {
+		if err := cpu.ReadData(VA(0x40_0000+(i%16)*PageSize), buf[:], 8); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -81,10 +81,6 @@ type Machine struct {
 	// Counters.
 	VMExits  map[ExitReason]uint64
 	IPICount uint64
-
-	// memo is the host-side walk memo (nil when host fast paths are
-	// disabled). Purely host-side: see hostmemo.go.
-	memo *hostMemo
 }
 
 // NewMachine builds a machine from cfg (zero-value fields defaulted).
@@ -98,29 +94,18 @@ func NewMachine(cfg MachineConfig) *Machine {
 	}
 	m.L3 = NewCache(CacheConfig{Name: "L3", Size: cfg.L3Size, Ways: 16, Latency: cfg.L3Latency}, nil, cfg.MemLatency)
 	m.L3.BindObs(m.Obs)
-	if hostFastPaths {
-		m.memo = newHostMemo()
-		m.Mem.SetDirtyHook(m.memo.invalidateAll)
-	}
 	for i := 0; i < cfg.Cores; i++ {
 		l2 := NewCache(CacheConfig{Name: fmt.Sprintf("cpu%d.L2", i), Size: cfg.L2Size, Ways: 4, Latency: cfg.L2Latency}, m.L3, 0)
 		cpu := &CPU{
-			ID:          i,
-			mach:        m,
-			Mode:        ModeKernel,
-			VPID:        uint16(i + 1),
-			blockCharge: blockCharge,
-			L1I:         NewCache(CacheConfig{Name: fmt.Sprintf("cpu%d.L1I", i), Size: cfg.L1ISize, Ways: 8, Latency: cfg.L1Latency}, l2, 0),
-			L1D:         NewCache(CacheConfig{Name: fmt.Sprintf("cpu%d.L1D", i), Size: cfg.L1DSize, Ways: 8, Latency: cfg.L1Latency}, l2, 0),
-			L2:          l2,
-			ITLB:        NewTLB(cfg.ITLBEntries),
-			DTLB:        NewTLB(cfg.DTLBEntries),
-		}
-		if m.memo != nil {
-			// An explicit TLB flush (shootdown) must also drop memoized
-			// walks, machine-wide.
-			cpu.ITLB.onFlush = m.memo.invalidateAll
-			cpu.DTLB.onFlush = m.memo.invalidateAll
+			ID:   i,
+			mach: m,
+			Mode: ModeKernel,
+			VPID: uint16(i + 1),
+			L1I:  NewCache(CacheConfig{Name: fmt.Sprintf("cpu%d.L1I", i), Size: cfg.L1ISize, Ways: 8, Latency: cfg.L1Latency}, l2, 0),
+			L1D:  NewCache(CacheConfig{Name: fmt.Sprintf("cpu%d.L1D", i), Size: cfg.L1DSize, Ways: 8, Latency: cfg.L1Latency}, l2, 0),
+			L2:   l2,
+			ITLB: NewTLB(cfg.ITLBEntries),
+			DTLB: NewTLB(cfg.DTLBEntries),
 		}
 		m.Cores = append(m.Cores, cpu)
 
@@ -200,24 +185,6 @@ func (m *Machine) SendIPI(from, to int) {
 			tr.FlowStep(m.Cores[from].Clock-CostIPI, fid, "flow.ipi", "flow")
 		}
 	}
-}
-
-// HostMemoStats returns the host-side walk-memo counters (zero when host
-// fast paths are disabled). Host diagnostics only — never simulated state.
-func (m *Machine) HostMemoStats() HostMemoStats {
-	if m.memo == nil {
-		return HostMemoStats{}
-	}
-	return m.memo.Stats
-}
-
-// HostMemoEntries returns the number of live walk-memo entries (test and
-// benchmark helper).
-func (m *Machine) HostMemoEntries() int {
-	if m.memo == nil {
-		return 0
-	}
-	return m.memo.entryCount()
 }
 
 // ResetStats clears every counter registered with the machine's registry —

@@ -38,15 +38,6 @@ type PhysMem struct {
 		fn uint64
 		f  *[PageSize]byte
 	}
-
-	// Dirty watch (host-side walk memo support). watch is a frame-number
-	// bitmap of frames whose contents some memoized walk depends on; it is
-	// nil until the first WatchFrame, so the write paths stay check-free
-	// cheap before any walk is memoized. Writing (or recycling) a watched
-	// frame fires onDirty once and clears the whole watch — the memo
-	// invalidates itself and rebuilds the watch from subsequent walks.
-	watch   []uint64
-	onDirty func()
 }
 
 // NewPhysMem creates a physical memory of the given byte size, which must be
@@ -142,33 +133,7 @@ func (m *PhysMem) ReserveRegionAligned(bytes, align uint64) (base, top HPA, err 
 	return base, HPA(alignedTop), nil
 }
 
-// SetDirtyHook installs the callback fired when a watched frame is
-// written or recycled. The machine wires this to its walk memo.
-func (m *PhysMem) SetDirtyHook(f func()) { m.onDirty = f }
-
-// WatchFrame marks the frame containing h as contents-sensitive: the next
-// write into it fires the dirty hook.
-func (m *PhysMem) WatchFrame(h HPA) {
-	if m.watch == nil {
-		m.watch = make([]uint64, (m.size/PageSize+63)/64)
-	}
-	fn := uint64(h) / PageSize
-	m.watch[fn/64] |= 1 << (fn % 64)
-}
-
-// noteWrite checks the dirty watch for a write touching frame fn.
-func (m *PhysMem) noteWrite(fn uint64) {
-	if m.watch == nil || m.watch[fn/64]&(1<<(fn%64)) == 0 {
-		return
-	}
-	m.watch = nil
-	if m.onDirty != nil {
-		m.onDirty()
-	}
-}
-
 func (m *PhysMem) zeroFrame(fn uint64) {
-	m.noteWrite(fn)
 	if f, ok := m.frames[fn]; ok {
 		*f = [PageSize]byte{}
 	}
@@ -210,7 +175,6 @@ func (m *PhysMem) Read(h HPA, buf []byte) {
 // frame boundaries.
 func (m *PhysMem) Write(h HPA, buf []byte) {
 	for len(buf) > 0 {
-		m.noteWrite(uint64(h) / PageSize)
 		f := m.frame(h)
 		off := uint64(h) & PageMask
 		n := copy(f[off:], buf)
@@ -232,7 +196,6 @@ func (m *PhysMem) ReadU64(h HPA) uint64 {
 
 // WriteU64 writes a little-endian 8-byte value at h.
 func (m *PhysMem) WriteU64(h HPA, v uint64) {
-	m.noteWrite(uint64(h) / PageSize)
 	f := m.frame(h)
 	off := uint64(h) & PageMask
 	if off+8 > PageSize {

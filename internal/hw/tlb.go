@@ -50,11 +50,6 @@ type TLB struct {
 	idx      []int32 // direct-mapped (tag, vpn) -> entry slot + 1; 0 = empty
 	clock    uint64
 	Stats    TLBStats
-
-	// onFlush, when set, runs after every FlushAll/FlushTag. The machine
-	// wires this to its host-side walk memo so that explicit TLB
-	// invalidation also drops memoized walks (see hostmemo.go).
-	onFlush func()
 }
 
 // tlbIdxBits sizes the direct-mapped lookup index.
@@ -134,9 +129,6 @@ func (t *TLB) Insert(tag TLBTag, vpn uint64, pfn HPA, flags PTFlags) {
 func (t *TLB) FlushAll() {
 	t.Stats.Flushes++
 	t.entries = t.entries[:0]
-	if t.onFlush != nil {
-		t.onFlush()
-	}
 }
 
 // FlushTag invalidates all entries with the given tag (INVVPID/INVPCID).
@@ -149,9 +141,6 @@ func (t *TLB) FlushTag(tag TLBTag) {
 		}
 	}
 	t.entries = kept
-	if t.onFlush != nil {
-		t.onFlush()
-	}
 }
 
 // Len returns the number of resident entries.

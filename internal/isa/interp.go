@@ -1,36 +1,9 @@
 package isa
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 )
-
-// decodeCacheOn gates the decoded-instruction cache in interpreters
-// constructed afterwards. It exists as an escape hatch (skybench
-// -hostcache=off) and for on/off equivalence tests.
-var decodeCacheOn = true
-
-// SetDecodeCache enables or disables the decoded-instruction cache for
-// interpreters constructed afterwards, returning the previous setting.
-func SetDecodeCache(on bool) bool {
-	prev := decodeCacheOn
-	decodeCacheOn = on
-	return prev
-}
-
-// superblockOn gates superblock (direct-threaded) execution in interpreters
-// constructed afterwards (skybench -superblock on|off). Architectural
-// results are identical either way; only host speed differs.
-var superblockOn = true
-
-// SetSuperblock enables or disables superblock execution for interpreters
-// constructed afterwards, returning the previous setting.
-func SetSuperblock(on bool) bool {
-	prev := superblockOn
-	superblockOn = on
-	return prev
-}
 
 // Region is a span of interpreter-visible memory (code or data).
 type Region struct {
@@ -60,35 +33,10 @@ type Interp struct {
 	Halted bool
 	// Steps counts executed instructions.
 	Steps int
-
-	// Decoded-instruction cache (host-side; execution semantics are
-	// unaffected). Keyed by RIP; every hit is validated by comparing the
-	// cached instruction's Raw bytes (a copy made at decode time) against
-	// the current region bytes, so an in-place code write — including a
-	// rewrite pass mutating a region slice it retained — transparently
-	// forces a re-decode. AddRegion and InvalidateCode also drop entries.
-	decCache            map[uint64]Inst
-	decOn               bool
-	DecodeHits          uint64 // host-side diagnostics only
-	DecodeMisses        uint64
-	DecodeInvalidations uint64
-
-	// Superblock (direct-threaded) execution state: straight-line decoded
-	// runs fused into blocks dispatched as one host call (superblock.go).
-	// sbCache is keyed by block entry RIP; every dispatch revalidates the
-	// block's bytes against the live region, and a store from inside the
-	// block over its own remaining bytes bails back to Step().
-	sbCache map[uint64]*superblock
-	sbOn    bool
-	// storeSeq/lastStore track the most recent data store so block dispatch
-	// can detect self-modifying writes over not-yet-executed block bytes.
-	storeSeq  uint64
-	lastStore uint64
-	SBStats   SBStats // host-side diagnostics only
 }
 
 // NewInterp returns an empty interpreter.
-func NewInterp() *Interp { return &Interp{decOn: decodeCacheOn, sbOn: superblockOn} }
+func NewInterp() *Interp { return &Interp{} }
 
 // AddRegion maps data at base. Regions must not overlap.
 func (ip *Interp) AddRegion(base uint64, data []byte) {
@@ -98,47 +46,6 @@ func (ip *Interp) AddRegion(base uint64, data []byte) {
 		}
 	}
 	ip.regions = append(ip.regions, Region{Base: base, Data: data})
-	ip.InvalidateCode()
-}
-
-// InvalidateCode drops every cached decoded instruction and superblock.
-// Callers that mutate code bytes in place do not need to call this — hit
-// validation catches byte changes — but rewriters may call it for
-// explicitness.
-func (ip *Interp) InvalidateCode() {
-	if len(ip.decCache) > 0 {
-		ip.DecodeInvalidations++
-		clear(ip.decCache)
-	}
-	if len(ip.sbCache) > 0 {
-		ip.SBStats.Invalidations++
-		clear(ip.sbCache)
-	}
-}
-
-// decode returns the decoded instruction at the current RIP, serving it
-// from the decode cache when the underlying bytes still match.
-func (ip *Interp) decode(code []byte) (Inst, error) {
-	if !ip.decOn {
-		return Decode(code)
-	}
-	if in, ok := ip.decCache[ip.RIP]; ok {
-		if n := len(in.Raw); len(code) >= n && bytes.Equal(in.Raw, code[:n]) {
-			ip.DecodeHits++
-			return in, nil
-		}
-		// Stale bytes under a cached entry: fall through and re-decode.
-	}
-	in, err := Decode(code)
-	if err != nil {
-		return in, err
-	}
-	ip.DecodeMisses++
-	if ip.decCache == nil {
-		ip.decCache = make(map[uint64]Inst)
-	}
-	ip.decCache[ip.RIP] = in
-	return in, nil
 }
 
 func (ip *Interp) region(addr uint64, n int) ([]byte, error) {
@@ -165,8 +72,6 @@ func (ip *Interp) write64(addr uint64, v uint64) error {
 		return err
 	}
 	binary.LittleEndian.PutUint64(b, v)
-	ip.storeSeq++
-	ip.lastStore = addr
 	return nil
 }
 
@@ -250,7 +155,7 @@ func (ip *Interp) Step() error {
 	if err != nil {
 		return err
 	}
-	in, err := ip.decode(code)
+	in, err := Decode(code)
 	if err != nil {
 		return fmt.Errorf("isa: at rip %#x: %w", ip.RIP, err)
 	}
@@ -260,8 +165,7 @@ func (ip *Interp) Step() error {
 }
 
 // alu64 applies a 64-bit ALU operation to (a, b), setting CF/OF/ZF/SF, and
-// returns the result. It is the single source of truth for ALU flag
-// semantics, shared by execInst and the direct-threaded block handlers.
+// returns the result.
 func (ip *Interp) alu64(op Op, a, b uint64) uint64 {
 	var res uint64
 	switch op {
@@ -288,8 +192,7 @@ func (ip *Interp) alu64(op Op, a, b uint64) uint64 {
 }
 
 // execInst executes one decoded instruction, updating RIP. end is the
-// address of the next sequential instruction. Step and superblock dispatch
-// share this so per-instruction semantics are identical in both modes.
+// address of the next sequential instruction.
 func (ip *Interp) execInst(in *Inst, end uint64) error {
 	switch in.Op {
 	case NOP:
@@ -464,23 +367,11 @@ func (ip *Interp) cond(c Cond) (bool, error) {
 	}
 }
 
-// Run executes until HLT, an error, or maxSteps instructions. With
-// superblocks enabled, straight-line runs dispatch as fused blocks; any
-// condition a block cannot handle falls back to Step() with identical
-// architectural outcomes (including the exact step count at which the
-// maxSteps limit trips).
+// Run executes until HLT, an error, or maxSteps instructions.
 func (ip *Interp) Run(maxSteps int) error {
 	for !ip.Halted {
 		if ip.Steps >= maxSteps {
 			return fmt.Errorf("isa: exceeded %d steps at rip %#x", maxSteps, ip.RIP)
-		}
-		if ip.sbOn {
-			if sb := ip.lookupBlock(); sb != nil {
-				if err := ip.execBlock(sb, maxSteps); err != nil {
-					return err
-				}
-				continue
-			}
 		}
 		if err := ip.Step(); err != nil {
 			return err

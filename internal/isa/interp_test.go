@@ -1,6 +1,10 @@
 package isa
 
-import "testing"
+import (
+	"encoding/binary"
+	"fmt"
+	"testing"
+)
 
 // runProgram executes code at base 0x400000 with a 64 KiB stack/data region
 // at 0x100000, until HLT.
@@ -190,5 +194,173 @@ func TestInterpRIPRelative(t *testing.T) {
 	}
 	if ip.Regs[RAX] != 0xBEEF {
 		t.Fatalf("rip-relative load got %#x", ip.Regs[RAX])
+	}
+}
+
+// loopProgram assembles a sum-1..n loop (RAX = n(n+1)/2) that re-executes
+// the same three instructions n times.
+func loopProgram(n int32) []byte {
+	var a Asm
+	a.MovRI32(RAX, 0)
+	a.MovRI32(RCX, n)
+	top := a.Len()
+	a.AluRR(ADD, RAX, RCX)
+	a.AluRI8(SUB, RCX, 1)
+	a.Jcc(CondNE, int32(top-(a.Len()+6)))
+	a.Hlt()
+	return a.Bytes()
+}
+
+// rerun restarts a halted interpreter at base.
+func rerun(t *testing.T, ip *Interp, base uint64) {
+	t.Helper()
+	ip.RIP = base
+	ip.Halted = false
+	if err := ip.Run(ip.Steps + 1000); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestInterpExecutesPatchedCode overwrites already-executed code bytes in
+// place and requires the next run to execute the new bytes.
+func TestInterpExecutesPatchedCode(t *testing.T) {
+	prog := func(v int32) []byte {
+		var a Asm
+		a.MovRI32(RAX, v)
+		a.Hlt()
+		return a.Bytes()
+	}
+	code := prog(1)
+	ip := NewInterp()
+	ip.AddRegion(0x400000, code) // ip shares the backing slice
+	rerun(t, ip, 0x400000)
+	if ip.Regs[RAX] != 1 {
+		t.Fatalf("first run: rax = %d", ip.Regs[RAX])
+	}
+	copy(code, prog(2))
+	rerun(t, ip, 0x400000)
+	if ip.Regs[RAX] != 2 {
+		t.Fatalf("after in-place patch: rax = %d, want 2", ip.Regs[RAX])
+	}
+}
+
+// TestInterpLengthChangingPatch overwrites executed single-byte NOPs with
+// an instruction of a different length, shifting every decode boundary.
+func TestInterpLengthChangingPatch(t *testing.T) {
+	var a Asm
+	for i := 0; i < 12; i++ {
+		a.Nop()
+	}
+	a.Hlt()
+	code := a.Bytes()
+	ip := NewInterp()
+	ip.AddRegion(0x400000, code)
+	rerun(t, ip, 0x400000)
+
+	var b Asm
+	b.MovRI32(RBX, 7)
+	for b.Len() < len(code)-1 {
+		b.Nop()
+	}
+	b.Hlt()
+	if len(b.Bytes()) != len(code) {
+		t.Fatalf("patch length %d != code length %d", len(b.Bytes()), len(code))
+	}
+	copy(code, b.Bytes())
+	rerun(t, ip, 0x400000)
+	if ip.Regs[RBX] != 7 {
+		t.Fatalf("rbx = %d, want 7", ip.Regs[RBX])
+	}
+}
+
+// TestInterpStoreOverUpcomingCode: a program that stores new bytes over its
+// own next straight-line instruction executes the stored instruction, not
+// the one that was there when the run began.
+func TestInterpStoreOverUpcomingCode(t *testing.T) {
+	var patch Asm
+	patch.MovRI32(RCX, 2)
+	for patch.Len() < 8 {
+		patch.Nop()
+	}
+	newBytes := binary.LittleEndian.Uint64(patch.Bytes()[:8])
+	build := func(target uint64) ([]byte, uint64) {
+		var a Asm
+		a.MovRI64(RBX, int64(target))
+		a.MovRI64(RAX, int64(newBytes))
+		a.MovMR(Mem{Base: RBX, Index: NoReg}, RAX)
+		off := uint64(a.Len())
+		a.MovRI32(RCX, 1) // overwritten before it runs
+		a.Nop()
+		a.Nop()
+		a.Nop()
+		a.Hlt()
+		return a.Bytes(), off
+	}
+	_, off := build(0) // immediates do not change encoding lengths
+	code, _ := build(0x400000 + off)
+	ip := NewInterp()
+	ip.AddRegion(0x400000, code)
+	rerun(t, ip, 0x400000)
+	if ip.Regs[RCX] != 2 {
+		t.Fatalf("rcx = %d, want 2 (the stored instruction)", ip.Regs[RCX])
+	}
+}
+
+// TestInterpRunMaxSteps: Run stops after exactly maxSteps instructions, at
+// the RIP that maxSteps single steps reach, and names both in its error.
+func TestInterpRunMaxSteps(t *testing.T) {
+	for _, maxSteps := range []int{1, 2, 3, 5, 17, 100, 1001} {
+		ran := NewInterp()
+		ran.AddRegion(0x400000, loopProgram(1000))
+		ran.RIP = 0x400000
+		err := ran.Run(maxSteps)
+
+		stepped := NewInterp()
+		stepped.AddRegion(0x400000, loopProgram(1000))
+		stepped.RIP = 0x400000
+		for i := 0; i < maxSteps; i++ {
+			if err := stepped.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := fmt.Sprintf("isa: exceeded %d steps at rip %#x", maxSteps, stepped.RIP)
+		if err == nil || err.Error() != want {
+			t.Fatalf("maxSteps=%d: err %v, want %q", maxSteps, err, want)
+		}
+		if ran.Steps != maxSteps || ran.RIP != stepped.RIP || ran.Regs != stepped.Regs {
+			t.Fatalf("maxSteps=%d: steps=%d rip=%#x, want steps=%d rip=%#x",
+				maxSteps, ran.Steps, ran.RIP, maxSteps, stepped.RIP)
+		}
+	}
+}
+
+// TestInterpAddRegionRunsNewCode: code mapped after a run executes when
+// control reaches it.
+func TestInterpAddRegionRunsNewCode(t *testing.T) {
+	ip := NewInterp()
+	ip.AddRegion(0x400000, loopProgram(3))
+	rerun(t, ip, 0x400000)
+	if ip.Regs[RAX] != 6 {
+		t.Fatalf("first region: rax = %d, want 6", ip.Regs[RAX])
+	}
+	ip.AddRegion(0x500000, loopProgram(100))
+	rerun(t, ip, 0x500000)
+	if ip.Regs[RAX] != 5050 {
+		t.Fatalf("new region: rax = %d, want 5050", ip.Regs[RAX])
+	}
+}
+
+// BenchmarkInterpLoop measures decode-and-execute throughput over the
+// 1..100 sum loop.
+func BenchmarkInterpLoop(b *testing.B) {
+	ip := NewInterp()
+	ip.AddRegion(0x400000, loopProgram(100))
+	for i := 0; i < b.N; i++ {
+		ip.RIP = 0x400000
+		ip.Halted = false
+		ip.Steps = 0
+		if err := ip.Run(10000); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
